@@ -45,8 +45,6 @@ def solve_auto(
     engine: str = "reference",
     workers: Optional[int] = None,
     backend: Optional[str] = None,
-    plan_granularity: Optional[str] = None,
-    phase2_engine: str = "reference",
 ) -> AlgorithmReport:
     """Solve *problem* with the algorithm family its networks demand.
 
@@ -55,16 +53,14 @@ def solve_auto(
     always uses length classes) and is ignored for line-shaped
     problems.
     """
-    validate_engine_knobs(engine, backend, plan_granularity, phase2_engine)
+    validate_engine_knobs(engine, backend)
     if problem_family(problem) == "line":
         return solve_arbitrary_lines(
             problem, epsilon=epsilon, mis=mis, seed=seed, engine=engine,
-            workers=workers, backend=backend, plan_granularity=plan_granularity,
-            phase2_engine=phase2_engine,
+            workers=workers, backend=backend,
         )
     return solve_arbitrary_trees(
         problem, epsilon=epsilon, mis=mis, seed=seed,
         decomposition=decomposition, engine=engine, workers=workers,
-        backend=backend, plan_granularity=plan_granularity,
-        phase2_engine=phase2_engine,
+        backend=backend,
     )

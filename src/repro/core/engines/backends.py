@@ -2,9 +2,7 @@
 
 The parallel engine (:mod:`repro.core.engines.parallel`) turns an
 :class:`~repro.core.plan.EpochPlan` wave into a list of sealed
-:class:`EpochJob` bundles -- everything one epoch (or one conflict
-component of an epoch, under ``plan_granularity="component"``) needs to
-run :func:`~repro.core.engines.incremental.run_epoch_incremental` on its
+:class:`EpochJob` bundles -- everything one epoch needs to run :func:`~repro.core.engines.incremental.run_epoch_incremental` on its
 own: the member slice, the member-restricted conflict adjacency and
 reverse index, the critical-edge layout, the raise rule and thresholds,
 the MIS oracle, and the dual values primed from the master state.  An
@@ -24,9 +22,8 @@ the MIS oracle, and the dual values primed from the master state.  An
 * ``serial`` -- run jobs inline on the calling thread, in order.  The
   debugging backend: identical results, trivially steppable.
 
-All three backends are **bit-identical** under the default epoch
-granularity: jobs are sealed off from each other, so where they execute
-cannot change what they compute, and the engine's merge walks epochs in
+All three backends are **bit-identical**: jobs are sealed off from
+each other, so where they execute cannot change what they compute, and the engine's merge walks epochs in
 ascending order regardless of completion order.
 
 Both pooled backends chunk a wave into at most ``workers`` jobs and
@@ -134,19 +131,16 @@ def default_workers() -> int:
 
 @dataclass
 class EpochJob:
-    """One sealed unit of first-phase work: an epoch, or one conflict
-    component of an epoch under ``plan_granularity="component"``.
+    """One sealed unit of first-phase work: one epoch.
 
     Carries everything :func:`run_epoch_job` needs, so a job can execute
     on any backend -- including in another process -- without reaching
     back into the planner or the master dual.  ``primed_alpha`` /
     ``primed_beta`` are the master dual values the members can read
-    (inherited from earlier waves); ``component`` is 0 for whole-epoch
-    jobs and the component ordinal (by smallest member id) otherwise.
+    (inherited from earlier waves).
     """
 
     epoch: int
-    component: int
     members: List[DemandInstance]
     index: InstanceIndex
     adjacency: ConflictAdjacency
@@ -188,17 +182,11 @@ class EpochOutcome:
     """Everything one epoch job produced, pending the ordered merge."""
 
     epoch: int
-    component: int
     events: List[RaiseEvent]
     stack: List[List[DemandInstance]]
     counters: PhaseCounters
     alpha_writes: Dict[DemandId, float]
     beta_writes: Dict[EdgeKey, float]
-
-    @property
-    def sort_key(self) -> Tuple[int, int]:
-        """Merge position: epoch-major, component-minor."""
-        return (self.epoch, self.component)
 
 
 def dual_writes(local: Dict, primed: Dict) -> Dict:
@@ -227,11 +215,6 @@ def run_epoch_job(job: EpochJob) -> EpochOutcome:
         from repro.core.engines.columnar import run_columnar_job_body
 
         return run_columnar_job_body(job)
-    if job.kernel == "admission":
-        # Lazy import: admission imports from this module at import time.
-        from repro.core.engines.admission import run_admission_job_body
-
-        return run_admission_job_body(job)
     members = job.members
     by_id = {d.instance_id: d for d in members}
     local = DualState(use_height_rule=job.raise_rule.use_height_rule)
@@ -246,7 +229,7 @@ def run_epoch_job(job: EpochJob) -> EpochOutcome:
         events, stack, counters, order=0,
     )
     return EpochOutcome(
-        job.epoch, job.component, events, stack, counters,
+        job.epoch, events, stack, counters,
         dual_writes(local.alpha, job.primed_alpha),
         dual_writes(local.beta, job.primed_beta),
     )
@@ -295,7 +278,7 @@ def _record_wave(backend: str, workers: int, n_chunks: int, waits: List[float]) 
 class EpochExecutorBackend:
     """Where epoch jobs run.  Implementations must return one outcome
     per job; order within the returned list is immaterial (the engine
-    merges by ``(epoch, component)``), but every job must complete."""
+    merges by epoch), but every job must complete."""
 
     name: str = "?"
     #: Worker count to attribute in ``PhaseCounters.workers_used``.

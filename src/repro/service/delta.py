@@ -216,7 +216,7 @@ class DeltaStats:
     prediction_misses: int = 0
     phases: int = 0
     layouts_reused: int = 0
-    #: Second-phase admission replay (the admission engine seam):
+    #: Second-phase admission replay (the admission journal):
     #: capacity components seen, replayed from the ancestor's records,
     #: and re-popped fresh.
     admission_components: int = 0

@@ -42,7 +42,7 @@ submission.  Hits on a byte-identical resubmission (the overwhelmingly
 common traffic pattern) are bit-identical outright.
 
 :class:`SolveKnobs` folds the solve configuration -- epsilon, MIS
-oracle, seed, engine, backend, plan granularity, decomposition -- into
+oracle, seed, engine, backend, decomposition -- into
 the key, since each of those can change the semantic artifact.  The
 ``workers`` pool size is deliberately *excluded*: job chunking and the
 ordered merge make the semantic tuple independent of pool sizing.
@@ -79,7 +79,9 @@ __all__ = [
 #: Version tags baked into every digest, so a change to the canonical
 #: form can never collide with fingerprints minted by an older layout.
 _PROBLEM_TAG = "problem/v1"
-_KNOBS_TAG = "knobs/v3"  # v2: + capacity_epoch; v3: + phase2_engine
+# v2: + capacity_epoch; v3: + admission engine; v4: admission engine
+# and plan granularity dropped.
+_KNOBS_TAG = "knobs/v4"
 _SOLVE_TAG = "solve/v1"
 
 
@@ -215,16 +217,12 @@ class SolveKnobs:
     engine: str = "incremental"
     workers: Optional[int] = None
     backend: Optional[str] = None
-    plan_granularity: Optional[str] = None
     decomposition: str = "ideal"
     #: Capacity-generation tag (see module docstring): identical
     #: requests under different epochs key differently, so serving
     #: state that mutated in bulk can never be answered from a
     #: previous generation's cache entry.
     capacity_epoch: int = 0
-    #: Second-phase (admission) engine -- ``'reference'``, ``'sliced'``
-    #: or ``'vectorized'`` (:mod:`repro.core.engines.admission`).
-    phase2_engine: str = "reference"
 
     def validate(self) -> "SolveKnobs":
         """Reject invalid knob names *and combinations* early.
@@ -237,34 +235,21 @@ class SolveKnobs:
         would then depend on cache state.  Validating before any cache
         interaction (the service does) keeps rejection deterministic.
         """
-        validate_engine_knobs(
-            self.engine, self.backend, self.plan_granularity,
-            self.phase2_engine,
-        )
+        validate_engine_knobs(self.engine, self.backend)
         if self.capacity_epoch < 0:
             raise ValueError(
                 f"capacity_epoch must be >= 0, got {self.capacity_epoch}"
             )
         if self.engine not in ("parallel", "vectorized"):
-            # plan_granularity shapes the first-phase plan only; the
-            # executor knobs additionally serve the sliced second-phase
-            # pop, which is legal with any first-phase engine.
-            if self.plan_granularity is not None:
-                raise ValueError(
-                    "plan_granularity= applies only to engine='parallel' "
-                    f"or 'vectorized', not {self.engine!r}"
-                )
-            if self.phase2_engine != "sliced":
-                for knob, value in (
-                    ("workers", self.workers),
-                    ("backend", self.backend),
-                ):
-                    if value is not None:
-                        raise ValueError(
-                            f"{knob}= applies only to engine='parallel' or "
-                            f"'vectorized' (or phase2_engine='sliced'), "
-                            f"not {self.engine!r}"
-                        )
+            for knob, value in (
+                ("workers", self.workers),
+                ("backend", self.backend),
+            ):
+                if value is not None:
+                    raise ValueError(
+                        f"{knob}= applies only to engine='parallel' or "
+                        f"'vectorized', not {self.engine!r}"
+                    )
         return self
 
     def canonical_form(self) -> Tuple:
@@ -277,19 +262,13 @@ class SolveKnobs:
         cannot alias one keyed under the thread default.  The
         vectorized engine keys like the parallel one: its executor
         knobs route it through the same plan/execute/merge machinery
-        (``kernel="vectorized"``), granularity contract included.
-        ``phase2_engine`` is keyed raw: every admission engine is
-        bit-identical, but distinct engines must never alias a cache
-        entry (the knob-sensitivity contract), and the backend slot
-        stays keyed on the *first-phase* engine alone -- a sliced pop's
-        substrate never changes the semantic artifact.
+        (``kernel="vectorized"``).
         """
-        if self.engine in ("parallel", "vectorized"):
-            backend: Optional[str] = resolve_backend(self.backend)
-            granularity: Optional[str] = self.plan_granularity or "epoch"
-        else:
-            backend = None
-            granularity = None
+        backend = (
+            resolve_backend(self.backend)
+            if self.engine in ("parallel", "vectorized")
+            else None
+        )
         return (
             _KNOBS_TAG,
             float(self.epsilon),
@@ -297,10 +276,8 @@ class SolveKnobs:
             int(self.seed),
             self.engine,
             backend,
-            granularity,
             self.decomposition,
             int(self.capacity_epoch),
-            self.phase2_engine,
         )
 
 

@@ -212,6 +212,28 @@ class TestWireProtocol:
         assert by_id[5]["ok"], "a valid request after garbage must still serve"
         assert by_id[5]["semantic_digest"] == direct_digest()
 
+    def test_removed_knobs_are_rejected_by_name(self):
+        # The admission-engine and plan-granularity knobs no longer
+        # exist; an old client sending them (even at their one-time
+        # default) gets an ok:false naming the field, and the
+        # connection keeps serving.
+        removed = {"phase2_engine": "reference", "plan_granularity": "epoch"}
+        lines = [
+            {"id": i, "workload": "bursty-lines", "size": 14, "seed": 1,
+             "knobs": {**KNOBS, field: value}}
+            for i, (field, value) in enumerate(removed.items())
+        ] + [
+            {"id": 9, "workload": "bursty-lines", "size": 14, "seed": 1,
+             "knobs": KNOBS},
+        ]
+        front, responses = asyncio.run(self.roundtrip(lines))
+        by_id = {r.get("id"): r for r in responses}
+        for i, field in enumerate(removed):
+            assert not by_id[i]["ok"]
+            assert field in by_id[i]["error"]
+        assert by_id[9]["ok"], "a valid request after a rejection must serve"
+        assert by_id[9]["semantic_digest"] == direct_digest()
+
     def test_oversized_line_answers_and_flushes_accepted_work(self):
         # A line past the stream limit breaks the line discipline, so
         # the connection ends -- but the already-pipelined valid

@@ -191,10 +191,7 @@ class TestSolveKnobs:
             replace(base, seed=1),
             replace(base, engine="incremental"),
             replace(base, backend="process"),
-            replace(base, plan_granularity="component"),
             replace(base, decomposition="balancing"),
-            replace(base, phase2_engine="sliced"),
-            replace(base, phase2_engine="vectorized"),
         ]
         others = {solve_fingerprint(problem, k).digest for k in variants}
         assert fp.digest not in others
@@ -227,8 +224,8 @@ class TestSolveKnobs:
         assert process_fp == explicit
 
     def test_vectorized_accepts_executor_knobs(self):
-        # The vectorized engine routes workers=/backend=/plan_granularity=
-        # through the parallel executor, so it validates and keys like
+        # The vectorized engine routes workers=/backend= through the
+        # parallel executor, so it validates and keys like
         # engine='parallel': workers stays an execution hint, the other
         # knobs resolve into the key.
         problem = build_workload("bursty-lines", 10, seed=0)
@@ -241,37 +238,6 @@ class TestSolveKnobs:
         )
         with pytest.raises(ValueError, match="vectorized"):
             SolveKnobs(engine="incremental", backend="process").validate()
-
-    def test_phase2_engine_keys_raw_and_unlocks_executor_knobs(self):
-        # Every admission engine is bit-identical, but distinct engines
-        # must never alias a cache entry (the knob-sensitivity
-        # contract) -- phase2_engine is keyed raw.
-        problem = build_workload("bursty-lines", 10, seed=0)
-        keys = {
-            solve_fingerprint(
-                problem, SolveKnobs(phase2_engine=p2)
-            ).digest
-            for p2 in ("reference", "sliced", "vectorized")
-        }
-        assert len(keys) == 3
-        with pytest.raises(ValueError, match="unknown phase2 engine"):
-            SolveKnobs(phase2_engine="bogus").validate()
-        # A sliced pop runs on the executor backends, so workers=/backend=
-        # become legal with a serial first-phase engine -- but the backend
-        # slot stays keyed on the first-phase engine alone (a pop
-        # substrate never changes the artifact), leaving workers a pure
-        # execution hint.
-        sliced = SolveKnobs(
-            engine="incremental", phase2_engine="sliced",
-            workers=2, backend="process",
-        ).validate()
-        assert solve_fingerprint(problem, sliced) == solve_fingerprint(
-            problem, replace(sliced, workers=8, backend="thread")
-        )
-        with pytest.raises(ValueError, match="phase2_engine='sliced'"):
-            SolveKnobs(
-                engine="incremental", phase2_engine="vectorized", workers=2
-            ).validate()
 
 
 class TestCanonicalBytes:

@@ -63,7 +63,6 @@ def direct_digest(name, size, **knob_kwargs):
         engine=knobs.engine,
         workers=knobs.workers,
         backend=knobs.backend,
-        plan_granularity=knobs.plan_granularity,
     )
     return report_semantic_digest(report)
 
