@@ -27,7 +27,7 @@ from repro.trees.decomposition import TreeDecomposition
 from repro.trees.ideal import build_ideal
 from repro.trees.layered import LayeredDecomposition, layered_from_tree_decomposition
 from repro.trees.root_fixing import build_root_fixing
-from repro.trees.tree import TreeNetwork
+from repro.trees.tree import ShapeKey, TreeNetwork
 
 #: Named tree-decomposition builders (Section 4).
 DECOMPOSITION_BUILDERS: Dict[str, Callable[[TreeNetwork], TreeDecomposition]] = {
@@ -116,14 +116,23 @@ def tree_layouts(
     """Build per-network tree decompositions and merge their layered
     decompositions into one :class:`InstanceLayout` (Lemma 4.3).
 
+    A decomposition is a pure function of the network's
+    :meth:`~repro.trees.tree.TreeNetwork.shape_key` -- its vertices and
+    ordered adjacency lists -- so each distinct shape is built once per
+    call and rebound to the other networks of that shape
+    (:meth:`TreeDecomposition.for_network`).  The sharing stays inside
+    one call on purpose: across requests, shapes rarely repeat (see
+    :mod:`repro.trees.ideal`), and a process-wide memo would need a
+    bound.
+
     When a first-phase journal is active (the delta-solve path), the
     per-network work is served from the journal's layout cache where
-    the inputs match: a tree decomposition is a pure function of the
-    network, and a layered decomposition of (decomposition, instance
-    expansion), so the cache keys embed exactly that content and a
-    reused object is value-identical to a rebuild.  This -- not the
-    epoch replay -- is the bulk of a warm start's latency win: churn
-    mutates demands far more often than networks.
+    the inputs match: the decomposition key is (network id,
+    decomposition, shape key) and the layered key adds the exact
+    instance expansion, so a reused object is value-identical to a
+    rebuild.  This -- not the epoch replay -- is the bulk of a warm
+    start's latency win: churn mutates demands far more often than
+    networks.
     """
     try:
         builder = DECOMPOSITION_BUILDERS[decomposition]
@@ -135,22 +144,26 @@ def tree_layouts(
     journal = active_journal()
     decomps: Dict[int, TreeDecomposition] = {}
     layered: List[LayeredDecomposition] = []
+    by_shape: Dict[ShapeKey, TreeDecomposition] = {}
     by_net = problem.instances_by_network
     for nid in sorted(problem.networks):
         instances = by_net.get(nid, ())
         if not instances:
             continue
         net = problem.networks[nid]
+        shape = net.shape_key()
         td = ld = None
         if journal is not None:
-            dkey = (nid, decomposition, net.vertices, tuple(sorted(net.edges())))
+            dkey = (nid, decomposition, shape)
             lkey = dkey + (instances,)
             td = journal.lookup_decomp(dkey)
             ld = journal.lookup_layered(lkey)
         if ld is not None:
             journal.layouts_reused += 1
         if td is None:
-            td = builder(net)
+            twin = by_shape.get(shape)
+            td = builder(net) if twin is None else twin.for_network(net)
+        by_shape.setdefault(shape, td)
         if ld is None:
             ld = layered_from_tree_decomposition(td, instances)
         if journal is not None:

@@ -22,9 +22,10 @@ start, and :func:`diff_problems` plus per-epoch signature checks decide
 what, if anything, is reused.
 
 **Diff.**  :func:`diff_problems` compares demand records by id
-(payload + access set) and network shapes by id.  Its touched sets
-drive the dirty-epoch *prediction* and the too-dirty bail; correctness
-never depends on the diff being tight.  ``networks_changed`` is the
+(payload + access set) and network shape keys (vertices plus ordered
+adjacency lists) by id.  Its touched sets drive the dirty-epoch
+*prediction* and the too-dirty bail; correctness never depends on the
+diff being tight.  ``networks_changed`` is the
 sketch-collision backstop: a same-shape network swap collides in the
 sketch but is caught here and falls back to a cold solve.
 
@@ -151,10 +152,13 @@ def diff_problems(old: Problem, new: Problem) -> ProblemDelta:
     # objects a mutation did not rebuild, so ``is`` dodges the payload
     # encodings for everything untouched -- the diff then costs O(delta)
     # payloads, not O(problem).  (A rebuilt-but-equal object still
-    # compares correctly through the payload, just slower.)
+    # compares correctly through the payload, just slower.)  Networks
+    # compare by shape key, not by the sorted-edge payload: the same
+    # edge set listed in another order can decompose differently, and
+    # the journal's layouts are keyed the same way.
     networks_changed = sorted(old.networks) != sorted(new.networks) or any(
         old.networks[nid] is not new.networks[nid]
-        and _network_payload(old.networks[nid]) != _network_payload(new.networks[nid])
+        and old.networks[nid].shape_key() != new.networks[nid].shape_key()
         for nid in old.networks
     )
     old_by_id = {a.demand_id: a for a in old.demands}

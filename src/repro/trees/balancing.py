@@ -21,9 +21,9 @@ def build_balancing(network: TreeNetwork) -> TreeDecomposition:
     parent: Dict[Vertex, Optional[Vertex]] = {}
 
     def build(component: FrozenSet[Vertex], parent_node: Optional[Vertex]) -> Vertex:
-        z = network.balancer(component)
+        z, pieces = network.balance_and_split(component)
         parent[z] = parent_node
-        for piece in network.split_component(component, z):
+        for piece in pieces:
             build(piece, z)
         return z
 

@@ -16,7 +16,8 @@ throughout the test suite.
 """
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+import functools
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro.core.demand import DemandInstance
 from repro.core.types import Vertex
@@ -28,7 +29,13 @@ class InvalidDecompositionError(ValueError):
 
 
 class TreeDecomposition:
-    """A rooted tree ``H`` over the vertex set of a tree-network ``T``."""
+    """A rooted tree ``H`` over the vertex set of a tree-network ``T``.
+
+    Depths (root at depth 1) come from one climb up the parent map;
+    the climb also rejects a parent map with a cycle or an unknown
+    parent, so ``H`` is a single tree.  The :attr:`children` lists are
+    built on first use.
+    """
 
     def __init__(self, network: TreeNetwork, parent: Dict[Vertex, Optional[Vertex]]):
         self.network = network
@@ -43,42 +50,63 @@ class TreeDecomposition:
             raise InvalidDecompositionError(
                 "decomposition must cover exactly the network's vertices"
             )
-        self.children: Dict[Vertex, List[Vertex]] = {v: [] for v in self.parent}
-        for v, p in self.parent.items():
-            if p is not None:
-                if p not in self.children:
-                    raise InvalidDecompositionError(f"unknown parent {p}")
-                self.children[p].append(v)
-        for kids in self.children.values():
-            kids.sort()
-        self._index_tree()
+        self.depth = self._depths()
         self._pivot_sets: Optional[Dict[Vertex, FrozenSet[Vertex]]] = None
 
-    def _index_tree(self) -> None:
-        """DFS order, depths (root has depth 1) and Euler intervals."""
-        self.depth: Dict[Vertex, int] = {}
-        self._tin: Dict[Vertex, int] = {}
-        self._tout: Dict[Vertex, int] = {}
-        clock = 0
-        stack: List[Tuple[Vertex, bool]] = [(self.root, False)]
-        self.depth[self.root] = 1
-        visited = 0
-        while stack:
-            v, done = stack.pop()
-            if done:
-                self._tout[v] = clock
+    def for_network(self, network: TreeNetwork) -> "TreeDecomposition":
+        """This decomposition bound to *network*, a network of the same
+        :meth:`~repro.trees.tree.TreeNetwork.shape_key` (any id).
+
+        A builder's output is a function of the shape key alone, so the
+        twin equals a fresh build on *network*.  It shares this
+        object's parent, depth, children and pivot-set dicts; neither
+        object may mutate them.
+        """
+        if network.shape_key() != self.network.shape_key():
+            raise ValueError(
+                f"network {network.network_id} differs in shape from "
+                f"network {self.network.network_id}"
+            )
+        twin = object.__new__(TreeDecomposition)
+        twin.__dict__.update(self.__dict__)
+        twin.network = network
+        return twin
+
+    def _depths(self) -> Dict[Vertex, int]:
+        """Each node's depth, from a memoized climb to the root.
+
+        The builders list parents before children, so each climb is
+        one step; a chain longer than ``H`` has nodes is a cycle.
+        """
+        parent = self.parent
+        depth: Dict[Vertex, int] = {}
+        for v, p in parent.items():
+            if v in depth:
                 continue
-            self._tin[v] = clock
-            clock += 1
-            visited += 1
-            stack.append((v, True))
-            for c in self.children[v]:
-                if c in self.depth:
+            chain = [v]
+            while p is not None and p not in depth:
+                if len(chain) > len(parent):
                     raise InvalidDecompositionError("cycle in decomposition tree")
-                self.depth[c] = self.depth[v] + 1
-                stack.append((c, False))
-        if visited != len(self.parent):
-            raise InvalidDecompositionError("decomposition tree is disconnected")
+                if p not in parent:
+                    raise InvalidDecompositionError(f"unknown parent {p}")
+                chain.append(p)
+                p = parent[p]
+            d = 0 if p is None else depth[p]
+            for u in reversed(chain):
+                d += 1
+                depth[u] = d
+        return depth
+
+    @functools.cached_property
+    def children(self) -> Dict[Vertex, List[Vertex]]:
+        """Each node's children in ``H``, ascending."""
+        children: Dict[Vertex, List[Vertex]] = {v: [] for v in self.parent}
+        for v, p in self.parent.items():
+            if p is not None:
+                children[p].append(v)
+        for kids in children.values():
+            kids.sort()
+        return children
 
     # ------------------------------------------------------------------
     @property
@@ -88,7 +116,9 @@ class TreeDecomposition:
 
     def is_ancestor_or_self(self, z: Vertex, x: Vertex) -> bool:
         """Whether ``x in C(z)``, i.e. ``z`` is ``x`` or an ancestor of it."""
-        return self._tin[z] <= self._tin[x] and self._tin[x] <= self._tout[z] - 1
+        for _ in range(self.depth[x] - self.depth[z]):
+            x = self.parent[x]  # type: ignore[assignment]
+        return x == z
 
     def component_of(self, z: Vertex) -> FrozenSet[Vertex]:
         """``C(z)``: ``z`` together with its descendants in ``H``."""
@@ -115,18 +145,33 @@ class TreeDecomposition:
     def _compute_pivot_sets(self) -> Dict[Vertex, FrozenSet[Vertex]]:
         """All pivot sets ``chi(z) = Gamma[C(z)]`` in ``O(#edges * depth)``.
 
-        For a network edge ``(x, y)``: ``y in chi(z)`` exactly when
-        ``x in C(z)`` and ``y not in C(z)``; the nodes with ``x in C(z)``
-        are the ancestors-or-self of ``x`` in ``H``.
+        By the LCA property the endpoints of a network edge ``(x, y)``
+        are ancestor-related in ``H``.  With ``y`` the ancestor,
+        ``y in chi(z)`` exactly for the ``z`` on the ``H``-path from
+        ``x`` up to, but excluding, ``y``; ``x`` lies in ``C(z)`` for
+        every ``z`` whose component holds ``y``, so it is nobody's
+        pivot.  Each edge is walked once, from its deeper endpoint; an edge
+        whose endpoints share a depth walks past the root and raises.
         """
-        pivots: Dict[Vertex, Set[Vertex]] = {v: set() for v in self.parent}
-        for (_, x, y) in self.network.edges():
-            for z in self.ancestors_or_self(x):
-                if not self.is_ancestor_or_self(z, y):
-                    pivots[z].add(y)
-            for z in self.ancestors_or_self(y):
-                if not self.is_ancestor_or_self(z, x):
-                    pivots[z].add(x)
+        parent, depth = self.parent, self.depth
+        # Lists suffice: C(z) is connected and y lies outside it, so only
+        # one edge joins them and no pair (z, y) is met twice.
+        pivots: Dict[Vertex, List[Vertex]] = {v: [] for v in parent}
+        vertices, adjacency = self.network.shape_key()
+        for x, nbrs in zip(vertices, adjacency):
+            dx = depth[x]
+            for y in nbrs:
+                if depth[y] > dx:
+                    continue
+                z: Optional[Vertex] = x
+                while z != y:
+                    if z is None:
+                        raise InvalidDecompositionError(
+                            f"edge ({x}, {y}) joins vertices that are not "
+                            f"ancestor-related in the decomposition"
+                        )
+                    pivots[z].append(y)
+                    z = parent[z]
         return {v: frozenset(s) for v, s in pivots.items()}
 
     def pivot_set(self, z: Vertex) -> FrozenSet[Vertex]:

@@ -11,6 +11,28 @@ again has at most two neighbors (case 2(b) of the paper).
 Each recursion level adds at most two nodes (junction + balancer) to the
 depth while at least halving component sizes, giving depth at most
 ``2 ceil(log2 n)`` (counting a singleton's depth as 1).
+
+**Value identity.**  The decomposition is a function of the network's
+:meth:`~repro.trees.tree.TreeNetwork.shape_key` -- its vertices and the
+order of each adjacency list -- and of nothing else.  Where a component
+has two centroids, the balancer takes the one nearer its walk's start,
+the first element of ``set(component)`` for the component frozenset
+(:meth:`~repro.trees.tree.TreeNetwork.balance_and_split`).  That
+element depends on the frozenset's hash-table layout, which depends on
+the order the split walk inserted the piece's vertices.  Any faster
+builder must therefore reproduce that start, not, say, ``min(C)``: on
+the registry's tree workloads at sizes 16, 64, 200 and 400, 695 of
+4907 balancer calls (14%) would pick the other centroid.  The test
+suite pins a digest of every layout of a fixed corpus
+(``tests/test_layered.py``).
+
+**Sharing is per solve.**  :func:`repro.algorithms.base.tree_layouts`
+builds each distinct shape once per call and rebinds it to the other
+networks of that shape (:meth:`TreeDecomposition.for_network`).  In a
+``multi-tenant-forest@400`` request 28.3% of the networks repeat an
+earlier shape.  Across 96 such requests a process-wide memo would hit
+only 33.7% of the time while collecting 19,102 distinct shapes, so it
+would need a bound (a new knob) to win little more.
 """
 from __future__ import annotations
 
@@ -51,19 +73,16 @@ def build_ideal(network: TreeNetwork) -> TreeDecomposition:
     ) -> Vertex:
         """BuildIdealTD: returns the root of the decomposition of *component*.
 
-        Precondition: ``neighbors = Gamma[component]`` and has size <= 2.
+        Precondition: ``neighbors = Gamma[component]`` and has size <= 2,
+        and *component* has at least two vertices -- a single-vertex
+        piece is attached by its caller, with no recursion.
         """
         if len(neighbors) > 2:
             raise InvalidDecompositionError(
                 f"precondition violated: component has {len(neighbors)} neighbors"
             )
-        if len(component) == 1:
-            (v,) = component
-            attach(v, parent_node)
-            return v
 
-        z = network.balancer(component)
-        pieces = network.split_component(component, z)
+        z, pieces = network.balance_and_split(component)
 
         # Locate which split component each outside neighbor enters through.
         entry: Dict[Vertex, Vertex] = {}  # outside neighbor -> entry vertex u'_i
@@ -84,10 +103,11 @@ def build_ideal(network: TreeNetwork) -> TreeDecomposition:
             # recurses with neighborhood {z} plus its entering outsiders.
             attach(z, parent_node)
             for i, piece in enumerate(pieces):
-                gamma = tuple(
-                    sorted({z} | {u for u in neighbors if home[u] == i})
-                )
-                build(piece, gamma, z)
+                if len(piece) == 1:
+                    attach(*piece, z)
+                else:
+                    gamma = {z} | {u for u in neighbors if home[u] == i}
+                    build(piece, tuple(sorted(gamma)), z)
             return z
 
         # Case 2(b): both entries in the same piece C1 -> junction.
@@ -108,38 +128,39 @@ def build_ideal(network: TreeNetwork) -> TreeDecomposition:
             network.split_component(c1, j) if len(c1) > 1 else []
         )
         for piece in sub_pieces:
-            gamma_set = {j}
-            if z_entry is not None and z_entry in piece:
-                gamma_set.add(z)
-            if entry[u1] in piece:
-                gamma_set.add(u1)
-            if entry[u2] in piece:
-                gamma_set.add(u2)
-            gamma = tuple(sorted(gamma_set))
             # Pieces between the junction and the balancer hang under z
             # (they are part of C(z) in H); everything else under j.
-            if z_entry is not None and z_entry in piece:
-                build(piece, gamma, z)
-            else:
-                build(piece, gamma, j)
+            between = z_entry is not None and z_entry in piece
+            if len(piece) == 1:
+                attach(*piece, z if between else j)
+                continue
+            gamma = {j}
+            if between:
+                gamma.add(z)
+            if entry[u1] in piece:
+                gamma.add(u1)
+            if entry[u2] in piece:
+                gamma.add(u2)
+            build(piece, tuple(sorted(gamma)), z if between else j)
 
         # Remaining split pieces of C - z (other than C1) hang under z.
         for i, piece in enumerate(pieces):
             if i == indices[0]:
                 continue
-            gamma = tuple(sorted({z} | {u for u in neighbors if home[u] == i}))
-            build(piece, gamma, z)
+            if len(piece) == 1:
+                attach(*piece, z)
+            else:
+                gamma = {z} | {u for u in neighbors if home[u] == i}
+                build(piece, tuple(sorted(gamma)), z)
         return j
-
-    vertices = frozenset(network.vertices)
-    if len(vertices) == 1:
-        (v,) = vertices
-        return TreeDecomposition(network, {v: None})
 
     # Top level: split the whole vertex set by a balancer g; every piece
     # then has exactly one neighbor, {g}, satisfying the precondition.
-    g = network.balancer(vertices)
+    g, pieces = network.balance_and_split(frozenset(network.vertices))
     attach(g, None)
-    for piece in network.split_component(vertices, g):
-        build(piece, (g,), g)
+    for piece in pieces:
+        if len(piece) == 1:
+            attach(*piece, g)
+        else:
+            build(piece, (g,), g)
     return TreeDecomposition(network, parent)

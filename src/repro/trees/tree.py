@@ -20,6 +20,11 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 from repro.core.types import EdgeKey, NetworkId, Vertex, edge_key
 
 
+#: :meth:`TreeNetwork.shape_key`: sorted vertices, then each vertex's
+#: adjacency list in insertion order.
+ShapeKey = Tuple[Tuple[Vertex, ...], Tuple[Tuple[Vertex, ...], ...]]
+
+
 class NotATreeError(ValueError):
     """Raised when the supplied edge set does not form a tree."""
 
@@ -38,6 +43,10 @@ class TreeNetwork:
     vertices:
         Optional explicit vertex set; defaults to the endpoints of *edges*.
     """
+
+    #: Memo of :meth:`shape_key`; a class-level default, so networks
+    #: unpickled from before the memo existed still compute it.
+    _shape_key: Optional[ShapeKey] = None
 
     def __init__(
         self,
@@ -113,6 +122,24 @@ class TreeNetwork:
         if not self.has_edge(u, v):
             raise KeyError(f"({u}, {v}) is not an edge of network {self.network_id}")
         return edge_key(self.network_id, u, v)
+
+    def shape_key(self) -> ShapeKey:
+        """Everything the decomposition builders read: the sorted
+        vertices and each one's adjacency list, in insertion order.
+
+        Two networks with equal keys get value-identical decompositions
+        under any builder, whatever their ids.  The adjacency order is
+        part of the key on purpose: it steers the component walks, so
+        the same edge set listed in another order can decompose
+        differently.
+        """
+        key = self._shape_key
+        if key is None:
+            key = self._shape_key = (
+                self._vertices,
+                tuple(map(tuple, map(self._adj.__getitem__, self._vertices))),
+            )
+        return key
 
     def is_path_graph(self) -> bool:
         """Whether the network is a line (every vertex has degree <= 2)."""
@@ -238,29 +265,7 @@ class TreeNetwork:
 
         This is the paper's "node z splits C into components C1..Cs".
         """
-        comp = set(component)
-        if pivot not in comp:
-            raise ValueError(f"pivot {pivot} is not in the component")
-        comp.discard(pivot)
-        pieces: List[FrozenSet[Vertex]] = []
-        unvisited = set(comp)
-        for seed in self._adj[pivot]:
-            if seed not in unvisited:
-                continue
-            piece = {seed}
-            unvisited.discard(seed)
-            stack = [seed]
-            while stack:
-                x = stack.pop()
-                for w in self._adj[x]:
-                    if w in unvisited:
-                        unvisited.discard(w)
-                        piece.add(w)
-                        stack.append(w)
-            pieces.append(frozenset(piece))
-        if unvisited:
-            raise ValueError("input set was not a connected component")
-        return pieces
+        return self._split(set(component), pivot)
 
     def balancer(self, component: Iterable[Vertex]) -> Vertex:
         """A balancer (centroid) of *component*.
@@ -269,41 +274,82 @@ class TreeNetwork:
         at most ``floor(|C|/2)`` vertices (the paper's balancer, Section 4.2;
         one always exists).
         """
+        return self._centroid(set(component))
+
+    def balance_and_split(
+        self, component: Iterable[Vertex]
+    ) -> Tuple[Vertex, List[FrozenSet[Vertex]]]:
+        """``(z, split_component(C, z))`` for ``z = balancer(C)``, with
+        one copy of *component* serving both steps."""
         comp = set(component)
+        z = self._centroid(comp)
+        return z, self._split(comp, z)
+
+    def _centroid(self, comp: Set[Vertex]) -> Vertex:
+        """:meth:`balancer` of a set copy of the component.
+
+        The walk is rooted at the copy's first element, i.e.
+        ``next(iter(set(component)))``, and returns the deepest vertex
+        whose subtree holds more than half of ``C``.  When ``C`` has two
+        centroids, that start decides between them, so it must stay
+        exactly this expression for decompositions to keep their values.
+        """
         if not comp:
             raise ValueError("empty component has no balancer")
+        adj = self._adj
         root = next(iter(comp))
-        # Iterative post-order subtree sizes within the induced subtree.
+        # Breadth-first order of the induced subtree; ``parent`` doubles
+        # as the visited set.
         parent: Dict[Vertex, Optional[Vertex]] = {root: None}
-        order: List[Vertex] = []
-        stack = [root]
-        seen = {root}
-        while stack:
-            x = stack.pop()
-            order.append(x)
-            for w in self._adj[x]:
-                if w in comp and w not in seen:
-                    seen.add(w)
+        order = [root]
+        for x in order:
+            for w in adj[x]:
+                if w in comp and w not in parent:
                     parent[w] = x
-                    stack.append(w)
-        if len(seen) != len(comp):
+                    order.append(w)
+        if len(order) != len(comp):
             raise ValueError("input set is not a connected component")
-        size = {v: 1 for v in comp}
+        # Vertices whose subtree exceeds half of C form a path down from
+        # the root; bottom-up, the first one met is its deepest vertex.
+        # A subtree size is final once reached: descendants come later
+        # in breadth-first order.
+        half = len(order) // 2
+        size = dict.fromkeys(order, 1)
         for x in reversed(order):
-            p = parent[x]
-            if p is not None:
-                size[p] += size[x]
-        total = len(comp)
-        v = root
-        while True:
-            heavy = None
-            for w in self._adj[v]:
-                if w in comp and parent.get(w) == v and size[w] > total // 2:
-                    heavy = w
-                    break
-            if heavy is None:
-                return v
-            v = heavy
+            if size[x] > half:
+                return x
+            size[parent[x]] += size[x]  # type: ignore[index]
+        raise AssertionError("the root's subtree is all of C")  # pragma: no cover
+
+    def _split(self, unvisited: Set[Vertex], pivot: Vertex) -> List[FrozenSet[Vertex]]:
+        """:meth:`split_component`, consuming a set copy of the component.
+
+        Each piece is grown depth-first from its seed; the insertion
+        order of that walk fixes the piece's frozenset layout, which the
+        balancer start reads, so the walk order is part of the
+        decompositions' value contract.
+        """
+        if pivot not in unvisited:
+            raise ValueError(f"pivot {pivot} is not in the component")
+        unvisited.discard(pivot)
+        adj = self._adj
+        pieces: List[FrozenSet[Vertex]] = []
+        for seed in adj[pivot]:
+            if seed not in unvisited:
+                continue
+            unvisited.discard(seed)
+            piece = {seed}
+            stack = [seed]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if w in unvisited:
+                        unvisited.discard(w)
+                        piece.add(w)
+                        stack.append(w)
+            pieces.append(frozenset(piece))
+        if unvisited:
+            raise ValueError("input set was not a connected component")
+        return pieces
 
     def median(self, a: Vertex, b: Vertex, c: Vertex) -> Vertex:
         """The unique vertex lying on all three pairwise paths of a, b, c.

@@ -15,6 +15,7 @@ No ``pytest-asyncio``: each async test drives its own loop with
 """
 import asyncio
 import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -36,6 +37,7 @@ from repro.service import (
     problem_sketch,
     report_semantic_digest,
 )
+from repro.trees.ideal import build_ideal
 from repro.trees.tree import TreeNetwork
 from repro.workloads import build_trajectory, build_workload, trajectory_names
 
@@ -299,6 +301,36 @@ class TestDecisionArms:
         assert result.delta.outcome == "network-change"
         assert report_semantic_digest(result.report) == cold_digest(
             swapped, knobs
+        )
+
+    def test_reordered_edge_list_is_a_network_change(self):
+        # The same edge set listed in another order gives network 1 a
+        # different ideal decomposition (the component walks follow
+        # adjacency order), and here a different schedule.  Layouts
+        # reused from the ancestor would answer for the old order.
+        problem = build_workload("multi-tenant-forest", 12, seed=27)
+        edges = [(u, v) for (_, u, v) in problem.networks[1].edges()]
+        random.Random(0).shuffle(edges)
+        reordered = TreeNetwork(1, edges)
+        assert build_ideal(reordered).parent != build_ideal(
+            problem.networks[1]
+        ).parent
+        # A demand bump as well, so the snapshot is no exact
+        # fingerprint hit and takes the delta path.
+        mutated = Problem(
+            networks={**problem.networks, 1: reordered},
+            demands=[replace(problem.demands[0], profit=99.5)]
+            + list(problem.demands[1:]),
+            access=dict(problem.access),
+        )
+        knobs = SolveKnobs(**KNOBS)
+        assert diff_problems(problem, mutated).networks_changed
+        svc = service()
+        svc.solve(request(problem))
+        result = svc.solve_delta(request(mutated))
+        assert result.delta.outcome == "network-change"
+        assert report_semantic_digest(result.report) == cold_digest(
+            mutated, knobs
         )
 
     def test_too_dirty_bails_to_cold(self):

@@ -223,11 +223,13 @@ class TestSolveKnobs:
         )
         assert process_fp == explicit
 
-    def test_vectorized_accepts_executor_knobs(self):
+    def test_vectorized_accepts_executor_knobs(self, monkeypatch):
         # The vectorized engine routes workers=/backend= through the
         # parallel executor, so it validates and keys like
         # engine='parallel': workers stays an execution hint, the other
-        # knobs resolve into the key.
+        # knobs resolve into the key.  backend=None resolves through
+        # REPRO_BACKEND, so the variable is pinned unset.
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         problem = build_workload("bursty-lines", 10, seed=0)
         SolveKnobs(engine="vectorized", workers=2, backend="process").validate()
         a = solve_fingerprint(problem, SolveKnobs(engine="vectorized", workers=2))
